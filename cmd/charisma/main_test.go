@@ -400,26 +400,32 @@ func TestPredictCLI(t *testing.T) {
 	}
 	finite(t, sweepOut)
 
-	// The fig8 corpus scenario's prediction is pinned byte-for-byte:
-	// regen with `go test ./cmd/charisma/ -run TestPredictCLI -update`.
-	code, scenOut, stderr := app("-predict", "-scenario",
-		filepath.Join("..", "..", "testdata", "scenarios", "fig8.json"))
-	if code != 0 {
-		t.Fatalf("-predict -scenario exit %d, stderr %q", code, stderr)
-	}
-	finite(t, scenOut)
-	golden := filepath.Join("testdata", "predict-fig8.golden")
-	if *update {
-		if err := os.WriteFile(golden, []byte(scenOut), 0o644); err != nil {
-			t.Fatal(err)
+	// Corpus scenario predictions are pinned byte-for-byte: fig8 plus
+	// the ones that exercise disk wear, an I/O-node slowdown window,
+	// a fat tree with NVMe drives, and a mesh. Together they pin the
+	// fault injector's RNG, the I/O-node attachments and the job
+	// scheduler; TestTwinConformance only checks within bands. Regen
+	// with `go test ./cmd/charisma/ -run TestPredictCLI -update`.
+	for _, name := range []string{"fig8", "checkpoint-dying-disk", "fig8-degraded", "fig8-cluster2026", "mesh-nvme"} {
+		code, scenOut, stderr := app("-predict", "-scenario",
+			filepath.Join("..", "..", "testdata", "scenarios", name+".json"))
+		if code != 0 {
+			t.Fatalf("-predict -scenario %s exit %d, stderr %q", name, code, stderr)
 		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("%v (regen with -update)", err)
-	}
-	if scenOut != string(want) {
-		t.Fatalf("-predict -scenario fig8 diverged from its golden (regen with -update):\n%s", scenOut)
+		finite(t, scenOut)
+		golden := filepath.Join("testdata", "predict-"+name+".golden")
+		if *update {
+			if err := os.WriteFile(golden, []byte(scenOut), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := os.ReadFile(golden)
+		if err != nil {
+			t.Fatalf("%v (regen with -update)", err)
+		}
+		if scenOut != string(want) {
+			t.Fatalf("-predict -scenario %s diverged from its golden (regen with -update):\n%s", name, scenOut)
+		}
 	}
 
 	// A replay scenario's timing is already recorded: predicting it is
