@@ -395,8 +395,8 @@ func runStudy(ctx context.Context, stdout, stderr io.Writer, cfg appConfig, faul
 	return nil
 }
 
-// runPredict is the analytical-twin mode: instead of simulating, it
-// walks the workload on the twin's stripped timing engine and prints
+// runPredict is the analytical-twin mode: instead of a traced study,
+// it walks the workload on the machine with every job untraced and prints
 // the per-I/O-node M/G/1 prediction for every study the flags
 // describe -- the single study, the -sweep seed/scale cross product,
 // or each study of a -scenario spec. Output is deterministic and,

@@ -4,8 +4,8 @@ import "repro/internal/twin"
 
 // Predict runs the analytical twin on a study configuration: the same
 // overrides, seed stamping, clamping, and large-scale disk-capacity
-// adjustment a real study would apply (studyParams), but walked on the
-// twin's stripped timing engine instead of the traced machine. The
+// adjustment a real study would apply (studyParams), walked on the
+// same machine with every job untraced, so no trace is collected. The
 // returned prediction is the instant what-if behind `charisma
 // -predict`; TestTwinConformance bands it against RunStudy's observed
 // queue counters across the scenario corpus.

@@ -55,48 +55,6 @@ func NASConfig(seed uint64) Config {
 	}
 }
 
-// File is the per-handle surface a job program uses: the exported
-// methods of cfs.Handle. Job bodies are written against this
-// interface so the same body can run on the simulated machine (a real
-// *cfs.Handle) or on the analytical twin's timing engine.
-type File interface {
-	Read(p *sim.Proc, size int64) (int64, error)
-	ReadAt(p *sim.Proc, off, size int64) (int64, error)
-	Write(p *sim.Proc, size int64) (int64, error)
-	WriteAt(p *sim.Proc, off, size int64) (int64, error)
-	ReadStrided(p *sim.Proc, off, recBytes, stride int64, count int) (int64, error)
-	WriteStrided(p *sim.Proc, off, recBytes, stride int64, count int) (int64, error)
-	Seek(p *sim.Proc, off int64) error
-	Close(p *sim.Proc) error
-	Mode() cfs.IOMode
-	FileID() uint64
-	Size() int64
-	Pointer() int64
-}
-
-// FileSys is the per-node file-system client surface a job program
-// uses. On the simulated machine it is a thin adapter over
-// *cfs.Client; the analytical twin provides its own implementation.
-type FileSys interface {
-	Open(p *sim.Proc, name string, flags int, mode cfs.IOMode) (File, error)
-	Delete(p *sim.Proc, name string) error
-}
-
-// cfsFS adapts *cfs.Client to FileSys. The only reason the adapter
-// exists is Go's lack of covariant returns: Open must return the
-// interface type, not *cfs.Handle.
-type cfsFS struct{ c *cfs.Client }
-
-func (f cfsFS) Open(p *sim.Proc, name string, flags int, mode cfs.IOMode) (File, error) {
-	h, err := f.c.Open(p, name, flags, mode)
-	if err != nil {
-		return nil, err
-	}
-	return h, nil
-}
-
-func (f cfsFS) Delete(p *sim.Proc, name string) error { return f.c.Delete(p, name) }
-
 // NodeCtx is what a job's per-node program receives: its process, its
 // identity, and its CFS client.
 type NodeCtx struct {
@@ -105,7 +63,7 @@ type NodeCtx struct {
 	Rank     int // rank within the job, 0..JobNodes-1
 	JobNodes int // number of nodes in the job
 	JobID    uint32
-	CFS      FileSys
+	CFS      *cfs.Client
 }
 
 // JobSpec describes one submitted job.
@@ -440,7 +398,7 @@ func (m *Machine) startJob(qj queuedJob, base int) {
 			tracer = jobTracer{buf: m.nodeBuffers[node], job: qj.id}
 		}
 		client := cfs.NewClient(m.fs, qj.id, node, tracer)
-		ctx.CFS = cfsFS{client}
+		ctx.CFS = client
 		m.k.Spawn(fmt.Sprintf("job%d/node%d", qj.id, node), func(p *sim.Proc) {
 			ctx.P = p
 			if spec.Body != nil {

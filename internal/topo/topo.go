@@ -65,8 +65,8 @@ func IPSC860() Config {
 	}
 }
 
-// Interconnect is the surface the machine, CFS transport, and twin
-// use: node-to-node latency and delivery, peripheral attachments, a
+// Interconnect is the surface the machine and its CFS transport use:
+// node-to-node latency and delivery, peripheral attachments, a
 // degradation hook, and traffic counters.
 type Interconnect interface {
 	// Nodes returns the number of compute nodes.

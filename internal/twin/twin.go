@@ -1,15 +1,16 @@
 // Package twin is the analytical twin of the simulated machine: an
 // instant what-if layer that answers "what would this configuration's
-// I/O queues look like?" without running the full traced study.
+// I/O queues look like?" without producing a trace.
 //
-// The twin has two halves. The walking half replays the exact workload
-// — the same generator, the same archetype bodies (via the
-// machine.FileSys interface), the same CFS clients, I/O nodes, buffer
-// caches, disks, fault windows, and hypercube latencies — on a
-// stripped-down machine with no tracing pipeline, no collector, and no
-// drift clocks, accumulating each I/O node's arrival and service
-// moments. The analytical half treats each I/O node as an M/G/1 queue
-// and cross-checks the walk with the Pollaczek–Khinchine formula:
+// The twin has two halves. The walking half runs the exact workload on
+// the real machine -- the same generator, scheduler, buddy allocator,
+// CFS clients, I/O nodes, buffer caches, disks, fault windows and
+// interconnect -- with every job untraced, so no node records an event
+// and no trace block crosses the network, and accumulates each I/O
+// node's arrival and service moments. Trace traffic does not move CFS
+// timing, so the walk sees the queues the traced study sees. The
+// analytical half treats each I/O node as an M/G/1 queue and
+// cross-checks the walk with the Pollaczek–Khinchine formula:
 //
 //	Wq = λ·E[S²] / 2(1−ρ)
 //
@@ -57,35 +58,42 @@ type Prediction struct {
 	SaturationScale float64
 }
 
-// Predict walks the workload on the twin's timing engine and returns
-// the per-I/O-node M/G/1 prediction. The same (Params, Config) pair
-// that core.RunStudy would simulate yields the matching prediction;
-// callers normally reach it through core.Predict.
+// Predict walks the workload on the machine with every job untraced
+// and returns the per-I/O-node M/G/1 prediction. The same (Params,
+// Config) pair that core.RunStudy would simulate yields the matching
+// prediction; callers normally reach it through core.Predict.
 func Predict(wp workload.Params, mc machine.Config) *Prediction {
 	k := sim.New()
-	e := newEngine(k, mc)
-	gen := workload.NewGenerator(wp)
-	horizon := gen.Install(e)
+	m := machine.New(k, mc)
+	horizon := workload.NewGenerator(wp).Install(untraced{m})
 	k.Run()
-	if len(e.running) > 0 || len(e.queue) > 0 {
+	if m.RunningJobs() > 0 || m.QueuedJobs() > 0 {
 		panic(fmt.Sprintf("twin: %d running / %d queued jobs after the walk",
-			len(e.running), len(e.queue)))
+			m.RunningJobs(), m.QueuedJobs()))
 	}
-	return e.prediction(horizon)
+	return prediction(m, mc, horizon)
+}
+
+// untraced installs a workload with the instrumented library unlinked
+// from every job.
+type untraced struct{ *machine.Machine }
+
+func (u untraced) SubmitAt(t sim.Time, spec machine.JobSpec) {
+	spec.Traced = false
+	u.Machine.SubmitAt(t, spec)
 }
 
 // prediction assembles the walked moments into the M/G/1 closed forms.
-func (e *engine) prediction(horizon sim.Time) *Prediction {
-	nio := e.cfg.FS.IONodes
+func prediction(m *machine.Machine, mc machine.Config, horizon sim.Time) *Prediction {
 	// Service second moment: the drive model's closed-form service
 	// distribution shifted by the per-request software overhead. Only
 	// the squared coefficient of variation survives into P-K (the mean
 	// comes from the walk), so cache hits shrinking E[S] are absorbed.
 	var dm1, dm2 float64
-	if nio > 0 {
-		dm1, dm2 = e.fs.IONode(0).Disk().ServiceMoments()
+	if mc.FS.IONodes > 0 {
+		dm1, dm2 = m.FS().IONode(0).Disk().ServiceMoments()
 	}
-	oh := e.cfg.FS.IONode.Overhead.ToSeconds()
+	oh := mc.FS.IONode.Overhead.ToSeconds()
 	sm1 := dm1 + oh
 	sm2 := dm2 + 2*oh*dm1 + oh*oh
 	cs2 := 0.0
@@ -96,16 +104,16 @@ func (e *engine) prediction(horizon sim.Time) *Prediction {
 		}
 	}
 	h := horizon.ToSeconds()
-	p := &Prediction{Horizon: horizon, Jobs: e.jobs, Nodes: make([]NodePrediction, nio)}
+	queues := m.IONodeQueueStats()
+	p := &Prediction{Horizon: horizon, Jobs: len(m.JobRecords()), Nodes: make([]NodePrediction, len(queues))}
 	maxRho := 0.0
-	for i := 0; i < nio; i++ {
-		batches, wait, service := e.fs.IONode(i).QueueStats()
-		np := NodePrediction{Batches: batches}
-		if batches > 0 && h > 0 {
-			lambda := float64(batches) / h
-			np.Rho = service.ToSeconds() / h
-			np.MeanService = service.ToSeconds() / float64(batches)
-			np.MeanWait = wait.ToSeconds() / float64(batches)
+	for i, q := range queues {
+		np := NodePrediction{Batches: q.Batches}
+		if q.Batches > 0 && h > 0 {
+			lambda := float64(q.Batches) / h
+			np.Rho = q.Service.ToSeconds() / h
+			np.MeanService = q.Service.ToSeconds() / float64(q.Batches)
+			np.MeanWait = q.Wait.ToSeconds() / float64(q.Batches)
 			if np.Rho < 1 {
 				es2 := np.MeanService * np.MeanService * (1 + cs2)
 				np.PKWait = lambda * es2 / (2 * (1 - np.Rho))

@@ -137,10 +137,10 @@ type jobPlan struct {
 	spec machine.JobSpec
 }
 
-// Target is where a workload lands: the simulated machine, or any
-// stand-in that accepts the same preloaded files and job schedule
-// (the analytical twin's timing engine). *machine.Machine satisfies
-// it directly.
+// Target is where a workload lands: the simulated machine, or a
+// wrapper around it that adjusts the job schedule on the way in (the
+// analytical twin unlinks tracing from every job). *machine.Machine
+// satisfies it directly.
 type Target interface {
 	// ComputeNodes reports the machine size; drawn node counts are
 	// clamped to it.
