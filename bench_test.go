@@ -1,12 +1,11 @@
 // Package repro's benchmark harness regenerates every table and figure
-// in the paper's evaluation (see DESIGN.md's experiment index). Each
-// benchmark reports the headline values of its figure or table via
-// b.ReportMetric, so
+// in the paper's evaluation. Each benchmark reports the headline values
+// of its figure or table via b.ReportMetric, so
 //
 //	go test -bench=. -benchmem
 //
-// prints the full paper-versus-measured comparison recorded in
-// EXPERIMENTS.md. The shared study trace is generated once per run.
+// prints the full paper-versus-measured comparison. The shared study
+// trace is generated once per run.
 package repro
 
 import (
@@ -249,7 +248,7 @@ func BenchmarkCombinedCache(b *testing.B) {
 	b.ReportMetric(100*(alone-filtered), "reduction_points") // paper: ~3
 }
 
-// --- Ablations (DESIGN.md section 4) ------------------------------------
+// --- Ablations -------------------------------------------------------------
 
 // BenchmarkAblationStridedSmall measures the cost of the access style
 // the paper says the interface forces on programmers: many small

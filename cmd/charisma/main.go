@@ -55,9 +55,7 @@
 // the same directory). Every invocation waits until the whole run is
 // drained and prints the merged report, byte-identical to a
 // single-process run. -worker-id names the worker in the manifest's
-// per-worker throughput counters. The deprecated -shard i/n static
-// partition remains for compatibility and conflicts with
-// -worker-id/-lease-ttl. See the README's "Distributed runs"
+// per-worker throughput counters. See the README's "Distributed runs"
 // section.
 //
 // -list prints every registered name the other modes accept --
@@ -154,10 +152,8 @@ func appMain(argv []string, stdout, stderr io.Writer) int {
 	scales := fs.String("scales", "", "sweep scales: comma-separated list (default: -scale)")
 	workers := fs.Int("workers", 0, "sweep worker goroutines; 0 = GOMAXPROCS")
 	outDir := fs.String("out", "", "persist sweep/scenario outcomes to this run directory (distributed + resumable)")
-	shardSpec := fs.String("shard", "", "deprecated: run only static shard i of n, as 'i/n' (requires -out; conflicts with -worker-id/-lease-ttl)")
 	workerID := fs.String("worker-id", "", "worker identity for distributed runs (requires -out; default host-pid)")
 	leaseTTL := fs.Duration("lease-ttl", 0, "work-claim lease time-to-live before other workers reclaim (requires -out; default 30s)")
-	resume := fs.Bool("resume", false, "allow reusing an existing run directory's outcomes (implicit in lease mode; required with -shard)")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := fs.String("memprofile", "", "write an allocation profile to this file")
 	if err := fs.Parse(argv); err != nil {
@@ -178,8 +174,7 @@ func appMain(argv []string, stdout, stderr io.Writer) int {
 		traceOut: *traceOut, sweep: *sweep, predict: *predict, list: *list, scenarioPath: *scenarioPath,
 		faultsPreset: *faultsPreset,
 		seeds:        *seeds, scales: *scales, workers: *workers,
-		outDir: *outDir, shardSpec: *shardSpec, resume: *resume,
-		workerID: *workerID, leaseTTL: *leaseTTL,
+		outDir: *outDir, workerID: *workerID, leaseTTL: *leaseTTL,
 	}, stdout, stderr); err != nil {
 		fmt.Fprintln(stderr, "charisma:", err)
 		return 1
@@ -203,10 +198,8 @@ type appConfig struct {
 	scales       string
 	workers      int
 	outDir       string
-	shardSpec    string
 	workerID     string
 	leaseTTL     time.Duration
-	resume       bool
 }
 
 // run dispatches to the selected mode. Every failure returns an
@@ -312,7 +305,7 @@ func run(ctx context.Context, cfg appConfig, stdout, stderr io.Writer) error {
 	case cfg.sweep:
 		return runSweep(ctx, stdout, stderr, cfg, faultsCfg, store, useStore)
 	case useStore:
-		return errors.New("-out/-shard/-resume apply only to -sweep and -scenario runs")
+		return errors.New("-out/-worker-id/-lease-ttl apply only to -sweep and -scenario runs")
 	}
 	return runStudy(ctx, stdout, stderr, cfg, faultsCfg)
 }
@@ -491,22 +484,17 @@ func startProfiles(cpuPath, memPath string, stderr io.Writer) (func(), error) {
 	}, nil
 }
 
-// parseStore turns the -out/-worker-id/-lease-ttl/-shard/-resume
-// flags into a store config. The default is lease-based work
-// stealing, where resume is implicit (the library refuses only a
-// manifest mismatch); the deprecated -shard static mode keeps the
-// old explicit-resume guard, and mixing the two modes' flags is an
-// error.
+// parseStore turns the -out/-worker-id/-lease-ttl flags into a store
+// config for lease-based work stealing, where resume is implicit (the
+// library refuses only a manifest mismatch).
 func parseStore(cfg appConfig) (core.StoreConfig, bool, error) {
 	if cfg.outDir == "" {
 		for _, f := range []struct {
 			name string
 			set  bool
 		}{
-			{"-shard", cfg.shardSpec != ""},
 			{"-worker-id", cfg.workerID != ""},
 			{"-lease-ttl", cfg.leaseTTL != 0},
-			{"-resume", cfg.resume},
 		} {
 			if f.set {
 				return core.StoreConfig{}, false, fmt.Errorf("%s requires -out", f.name)
@@ -514,54 +502,17 @@ func parseStore(cfg appConfig) (core.StoreConfig, bool, error) {
 		}
 		return core.StoreConfig{}, false, nil
 	}
-	if cfg.shardSpec != "" {
-		// Deprecated static mode. Refuse the lease flags loudly: a
-		// static shard ignores leases, so combining the modes would
-		// silently fall back to one of them.
-		if cfg.workerID != "" || cfg.leaseTTL != 0 {
-			conflict := "-worker-id"
-			if cfg.leaseTTL != 0 {
-				conflict = "-lease-ttl"
-			}
-			return core.StoreConfig{}, false, fmt.Errorf("-shard and %s conflict: static sharding and lease-based work stealing are mutually exclusive (drop -shard to use the lease scheduler)", conflict)
-		}
-		shard, numShards, err := parseShard(cfg.shardSpec)
-		if err != nil {
-			return core.StoreConfig{}, false, err
-		}
-		if core.HasManifest(cfg.outDir) && !cfg.resume {
-			return core.StoreConfig{}, false, fmt.Errorf("run directory %s already holds outcomes; pass -resume to continue it or use a fresh directory", cfg.outDir)
-		}
-		return core.StoreConfig{Dir: cfg.outDir, Shard: shard, NumShards: numShards}, true, nil
-	}
 	if cfg.leaseTTL < 0 {
 		return core.StoreConfig{}, false, fmt.Errorf("bad -lease-ttl %v (want a positive duration)", cfg.leaseTTL)
 	}
 	return core.StoreConfig{Dir: cfg.outDir, WorkerID: cfg.workerID, LeaseTTL: cfg.leaseTTL}, true, nil
 }
 
-// parseShard understands "i/n" with 0 <= i < n; empty means the
-// whole run (shard 0 of 1).
-func parseShard(spec string) (shard, numShards int, err error) {
-	if spec == "" {
-		return 0, 1, nil
-	}
-	lo, hi, ok := strings.Cut(spec, "/")
-	if !ok {
-		return 0, 0, fmt.Errorf("bad -shard %q (want 'i/n', e.g. 0/4)", spec)
-	}
-	shard, err1 := strconv.Atoi(strings.TrimSpace(lo))
-	numShards, err2 := strconv.Atoi(strings.TrimSpace(hi))
-	if err1 != nil || err2 != nil || numShards < 1 || shard < 0 || shard >= numShards {
-		return 0, 0, fmt.Errorf("bad -shard %q (want 'i/n' with 0 <= i < n)", spec)
-	}
-	return shard, numShards, nil
-}
-
 // runScenario loads, validates, and runs a declarative scenario,
 // printing the deterministic report on stdout and timing on stderr.
-// With a store, only this shard's pending studies execute, and the
-// merged report prints once every study's outcome file exists.
+// With a store, this process drains the pending studies alongside any
+// other workers, and the merged report prints once every study's
+// outcome file exists.
 func runScenario(ctx context.Context, stdout, stderr io.Writer, path string, workers int, store core.StoreConfig, useStore bool) error {
 	spec, err := scenario.Load(path)
 	if err != nil {
@@ -584,7 +535,7 @@ func runScenario(ctx context.Context, stdout, stderr io.Writer, path string, wor
 	if err != nil {
 		return err
 	}
-	reportStoreRun(stderr, "scenario "+spec.Name, store, run.Run, len(run.Merge.Missing), len(run.Merge.Result.Outcomes))
+	reportStoreRun(stderr, "scenario "+spec.Name, run.Run, len(run.Merge.Missing), len(run.Merge.Result.Outcomes))
 	if run.Run.Err != nil {
 		return interrupted(run.Run.Err, store.Dir)
 	}
@@ -650,7 +601,7 @@ func serveMain(ctx context.Context, argv []string, stdout, stderr io.Writer) int
 		fmt.Fprintln(stderr, "charisma serve:", err)
 		return 1
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := newHTTPServer(srv.Handler())
 	fmt.Fprintf(stderr, "charisma serve: listening on %s (store %s, %d jobs, queue %d)\n",
 		ln.Addr(), *outDir, *jobs, *queue)
 
@@ -683,9 +634,29 @@ func serveMain(ctx context.Context, argv []string, stdout, stderr io.Writer) int
 	return 0
 }
 
+// Server timeouts for `charisma serve`. A client that trickles its
+// request headers is cut off instead of holding a connection forever,
+// and idle keep-alive connections are reaped. There is deliberately
+// no write timeout: a job's SSE stream stays open as long as the job
+// runs.
+const (
+	serveReadHeaderTimeout = 10 * time.Second
+	serveIdleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer wraps the daemon's handler in an http.Server with the
+// serve timeouts.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: serveReadHeaderTimeout,
+		IdleTimeout:       serveIdleTimeout,
+	}
+}
+
 // runSweep executes the multi-study mode and prints the aggregate
 // report (deterministic) on stdout and timing (not) on stderr. With
-// a store the same resumable-shard protocol as scenarios applies.
+// a store the same resumable lease protocol as scenarios applies.
 func runSweep(ctx context.Context, stdout, stderr io.Writer, cfg appConfig, faultsCfg *faults.Config, store core.StoreConfig, useStore bool) error {
 	seedList, err := parseSeeds(cfg.seeds, cfg.seed)
 	if err != nil {
@@ -724,7 +695,7 @@ func runSweep(ctx context.Context, stdout, stderr io.Writer, cfg appConfig, faul
 	if err != nil {
 		return err
 	}
-	reportStoreRun(stderr, "sweep", store, run, len(merge.Missing), len(specs))
+	reportStoreRun(stderr, "sweep", run, len(merge.Missing), len(specs))
 	if run.Err != nil {
 		return interrupted(run.Err, store.Dir)
 	}
@@ -738,15 +709,7 @@ func runSweep(ctx context.Context, stdout, stderr io.Writer, cfg appConfig, faul
 // reportStoreRun prints one invocation's accounting to stderr: what
 // it ran, what was already committed, and whether the merged report
 // is ready.
-func reportStoreRun(stderr io.Writer, what string, store core.StoreConfig, run *core.StoreRun, missing, total int) {
-	if store.NumShards > 1 {
-		fmt.Fprintf(stderr, "charisma: %s: shard %d/%d ran %d, skipped %d done, in %v; %d/%d outcomes committed\n",
-			what, store.Shard, store.NumShards, len(run.Ran), len(run.Skipped), run.Elapsed.Round(1e6), total-missing, total)
-		if missing > 0 {
-			fmt.Fprintf(stderr, "charisma: %d studies still pending (other shards or a -resume rerun); merged report withheld\n", missing)
-		}
-		return
-	}
+func reportStoreRun(stderr io.Writer, what string, run *core.StoreRun, missing, total int) {
 	fmt.Fprintf(stderr, "charisma: %s: worker %s ran %d (%d reclaimed), found %d done, in %v; %d/%d outcomes committed\n",
 		what, run.Worker.WorkerID, len(run.Ran), run.Reclaims, len(run.Skipped), run.Elapsed.Round(1e6), total-missing, total)
 	if missing > 0 {

@@ -86,21 +86,6 @@ func TestParseScales(t *testing.T) {
 	}
 }
 
-// TestParseShard covers the -shard grammar.
-func TestParseShard(t *testing.T) {
-	if s, n, err := parseShard(""); err != nil || s != 0 || n != 1 {
-		t.Fatalf("empty shard = %d/%d, %v", s, n, err)
-	}
-	if s, n, err := parseShard("2/4"); err != nil || s != 2 || n != 4 {
-		t.Fatalf("2/4 = %d/%d, %v", s, n, err)
-	}
-	for _, bad := range []string{"2", "4/2", "2/2", "-1/2", "a/b", "1/0"} {
-		if _, _, err := parseShard(bad); err == nil {
-			t.Errorf("parseShard(%q) accepted", bad)
-		}
-	}
-}
-
 // app runs appMain with captured output.
 func app(args ...string) (code int, stdout, stderr string) {
 	var out, errb bytes.Buffer
@@ -164,10 +149,11 @@ func TestProfileFlushedOnError(t *testing.T) {
 	}
 }
 
-// TestSweepStoreCLI drives the sharded store through the real flags:
-// two shards into one -out directory merge to the same bytes as a
-// plain in-memory sweep, a non-resume rerun is refused, and store
-// flags without -out are rejected.
+// TestSweepStoreCLI drives the store through the real flags: a run
+// into an -out directory and a rerun against it (resume is implicit)
+// both print the in-memory sweep's bytes, store flags outside
+// -sweep/-scenario are rejected, and the removed static-shard flags
+// are unknown.
 func TestSweepStoreCLI(t *testing.T) {
 	args := []string{"-sweep", "-seeds", "1-2", "-scales", "0.01"}
 	code, single, stderr := app(args...)
@@ -176,47 +162,31 @@ func TestSweepStoreCLI(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	code, out, stderr := app(append(args, "-out", dir, "-shard", "0/2")...)
-	if code != 0 {
-		t.Fatalf("shard 0 exit %d, stderr %q", code, stderr)
+	for _, pass := range []string{"first run", "rerun"} {
+		code, out, stderr := app(append(args, "-out", dir)...)
+		if code != 0 {
+			t.Fatalf("%s exit %d, stderr %q", pass, code, stderr)
+		}
+		if out != single {
+			t.Fatalf("%s merge differs from the in-memory sweep:\n%s\nvs\n%s", pass, out, single)
+		}
 	}
-	if out != "" {
-		t.Fatalf("half-done shard printed a merged report:\n%s", out)
-	}
-	code, out, stderr = app(append(args, "-out", dir, "-shard", "1/2", "-resume")...)
-	if code != 0 {
-		t.Fatalf("shard 1 exit %d, stderr %q", code, stderr)
-	}
-	if out != single {
-		t.Fatalf("sharded CLI merge differs from the in-memory sweep:\n%s\nvs\n%s", out, single)
-	}
-
-	// A static-shard rerun still demands the explicit -resume opt-in.
-	if code, _, stderr = app(append(args, "-out", dir, "-shard", "0/2")...); code == 0 || !strings.Contains(stderr, "-resume") {
-		t.Fatalf("static rerun without -resume: exit %d, stderr %q", code, stderr)
-	}
-	// A lease-mode rerun resumes implicitly: everything is already
-	// committed, so it just prints the merged report again.
-	code, out, stderr = app(append(args, "-out", dir)...)
-	if code != 0 {
-		t.Fatalf("lease-mode rerun exit %d, stderr %q", code, stderr)
-	}
-	if out != single {
-		t.Fatalf("lease-mode rerun merge differs from the in-memory sweep:\n%s", out)
-	}
-	if code, _, _ = app("-sweep", "-shard", "0/2"); code == 0 {
-		t.Fatal("-shard without -out accepted")
-	}
-	if code, _, _ = app("-shard", "0/2", "-out", t.TempDir()); code == 0 {
+	if code, _, _ = app("-out", t.TempDir()); code == 0 {
 		t.Fatal("store flags accepted outside -sweep/-scenario")
+	}
+	for _, removed := range [][]string{{"-shard", "0/2"}, {"-resume"}} {
+		code, _, stderr := app(append(append(args, "-out", t.TempDir()), removed...)...)
+		if code != 2 || !strings.Contains(stderr, "flag provided but not defined: "+removed[0]) {
+			t.Fatalf("%v: exit %d, stderr %q", removed, code, stderr)
+		}
 	}
 }
 
 // TestWorkStealingCLI drives the lease-based scheduler through the
 // real flags: two sequential workers against one -out directory (the
 // second finds everything committed), the merged bytes match the
-// in-memory sweep, and the mode-conflict / missing--out errors are
-// loud and name their flags.
+// in-memory sweep, and the missing--out errors are loud and name
+// their flags.
 func TestWorkStealingCLI(t *testing.T) {
 	args := []string{"-sweep", "-seeds", "1-3", "-scales", "0.01"}
 	code, single, stderr := app(args...)
@@ -248,15 +218,6 @@ func TestWorkStealingCLI(t *testing.T) {
 		t.Fatalf("late worker accounting wrong: %q", stderr)
 	}
 
-	// -shard plus a lease flag is a clear error naming both sides.
-	code, _, stderr = app(append(args, "-out", t.TempDir(), "-shard", "0/2", "-lease-ttl", "10s")...)
-	if code == 0 || !strings.Contains(stderr, "-shard") || !strings.Contains(stderr, "-lease-ttl") {
-		t.Fatalf("-shard + -lease-ttl: exit %d, stderr %q", code, stderr)
-	}
-	code, _, stderr = app(append(args, "-out", t.TempDir(), "-shard", "0/2", "-worker-id", "x")...)
-	if code == 0 || !strings.Contains(stderr, "-shard") || !strings.Contains(stderr, "-worker-id") {
-		t.Fatalf("-shard + -worker-id: exit %d, stderr %q", code, stderr)
-	}
 	// Lease flags without -out are rejected like the other store flags.
 	if code, _, stderr = app("-sweep", "-worker-id", "w1"); code == 0 || !strings.Contains(stderr, "-worker-id requires -out") {
 		t.Fatalf("-worker-id without -out: exit %d, stderr %q", code, stderr)
@@ -455,6 +416,19 @@ func TestServeFlagValidation(t *testing.T) {
 	}
 	if code, _, _ := app("serve", "-addr", "999.999.999.999:1", "-out", t.TempDir()); code != 1 {
 		t.Fatal("serve accepted an unlistenable address")
+	}
+}
+
+// TestServeHTTPTimeouts pins the slow-client fix: the daemon's HTTP
+// server bounds header reads and idle keep-alive connections, but sets
+// no write timeout, which would cut long-lived SSE streams.
+func TestServeHTTPTimeouts(t *testing.T) {
+	s := newHTTPServer(http.NotFoundHandler())
+	if s.ReadHeaderTimeout <= 0 || s.IdleTimeout <= 0 {
+		t.Fatalf("header timeout %v, idle timeout %v: both must be set", s.ReadHeaderTimeout, s.IdleTimeout)
+	}
+	if s.WriteTimeout != 0 {
+		t.Fatalf("write timeout %v would cut SSE streams", s.WriteTimeout)
 	}
 }
 

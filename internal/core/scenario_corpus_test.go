@@ -140,12 +140,13 @@ func TestScenarioCorpusWorkerInvariance(t *testing.T) {
 // TestScenarioCorpusRegistryLeaseSplit extends the lease store's
 // split contract to the registry corpus scenarios: lowering a
 // non-default machine axis (fat-tree + NVMe cluster2026, the nas
-// preset re-wired onto a mesh) onto the store and running it as two
-// static shards must reconstruct the checked-in golden byte for
-// byte. This pins that the registry overrides fold into the study
-// fingerprints consistently across processes -- a shard that hashed
-// the axis differently would refuse the manifest or run the wrong
-// slice.
+// preset re-wired onto a mesh) onto the store and splitting it
+// between a worker killed after its first commit and a second worker
+// that finishes the run must reconstruct the checked-in golden byte
+// for byte. This pins that the registry overrides fold into the study
+// fingerprints consistently across workers -- one that hashed the
+// axis differently would refuse the manifest or rerun the other's
+// study.
 func TestScenarioCorpusRegistryLeaseSplit(t *testing.T) {
 	for _, name := range []string{"fig8-cluster2026", "mesh-nvme"} {
 		name := name
@@ -153,26 +154,35 @@ func TestScenarioCorpusRegistryLeaseSplit(t *testing.T) {
 			t.Parallel()
 			path := filepath.Join(corpusDir, name+".json")
 			dir := t.TempDir()
-			var res *ScenarioResult
-			for shard := 0; shard < 2; shard++ {
-				run, err := RunScenarioStore(context.Background(), loadCorpusSpec(t, path),
-					StoreConfig{Dir: dir, Shard: shard, NumShards: 2})
-				if err != nil {
-					t.Fatalf("shard %d: %v", shard, err)
-				}
-				if run.Result != nil {
-					res = run.Result
-				}
+			spec := loadCorpusSpec(t, path)
+			spec.Workers = 1
+			ctx, progress, cancel := stopAfterFirstCommit()
+			defer cancel()
+			first, err := RunScenarioStore(ctx, spec, StoreConfig{Dir: dir, WorkerID: "w1", Progress: progress})
+			if err != nil {
+				t.Fatalf("killed worker: %v", err)
 			}
+			if len(first.Run.Ran) != 1 {
+				t.Fatalf("killed worker ran %v, want one study", first.Run.Ran)
+			}
+			run, err := RunScenarioStore(context.Background(), loadCorpusSpec(t, path), StoreConfig{Dir: dir, WorkerID: "w2"})
+			if err != nil {
+				t.Fatalf("second worker: %v", err)
+			}
+			if len(run.Run.Skipped) != 1 || len(run.Run.Ran) != len(run.Merge.Result.Outcomes)-1 {
+				t.Fatalf("second worker ran %v, skipped %v; want the killed worker's study skipped and the rest run",
+					run.Run.Ran, run.Run.Skipped)
+			}
+			res := run.Result
 			if res == nil {
-				t.Fatal("sharded run never produced a merged result")
+				t.Fatalf("split run never produced a merged result (missing %v)", run.Merge.Missing)
 			}
 			want, err := os.ReadFile(filepath.Join(corpusDir, "golden", name+".golden"))
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got := res.Format(); got != string(want) {
-				t.Fatalf("sharded %s differs from its golden (first diff near byte %d)",
+				t.Fatalf("split %s differs from its golden (first diff near byte %d)",
 					name, firstDiff(got, string(want)))
 			}
 		})

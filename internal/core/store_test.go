@@ -41,71 +41,67 @@ func storeOutcomeMtimes(t *testing.T, dir string) map[string]time.Time {
 	return out
 }
 
-// TestSweepStoreShardResumeIdentical is the store's acceptance pin:
-// a sweep run as two shards -- one of them killed mid-run and then
-// resumed -- merges to output byte-identical to a single-process
-// RunSweep, and the resume re-executes only the missing specs (the
-// completed outcome files' mtimes stay untouched).
-func TestSweepStoreShardResumeIdentical(t *testing.T) {
+// stopAfterFirstCommit returns a context and a Progress hook that
+// cancels it as soon as the worker commits an outcome. With Workers: 1
+// the worker then stops between studies, leaving its run directory
+// exactly as a worker killed after its first commit would.
+func stopAfterFirstCommit() (context.Context, func(StoreProgress), context.CancelFunc) {
+	ctx, cancel := context.WithCancel(context.Background())
+	return ctx, func(p StoreProgress) {
+		if p.State == StoreSpecRan {
+			cancel()
+		}
+	}, cancel
+}
+
+// TestSweepStoreLeaseResumeIdentical is the store's acceptance pin:
+// a sweep whose workers are killed one after another mid-run, then
+// resumed by a fresh worker, merges to output byte-identical to a
+// single-process RunSweep, and the resume re-executes only the missing
+// specs (the completed outcome files' mtimes stay untouched).
+func TestSweepStoreLeaseResumeIdentical(t *testing.T) {
 	specs := sweepSpecs(6)
 	single := RunSweep(context.Background(), SweepConfig{Specs: specs, Workers: 1})
 
 	dir := t.TempDir()
-	// Shard 0 runs its whole slice (specs 0, 2, 4).
-	run0, err := RunSweepStore(context.Background(),
-		SweepConfig{Specs: specs, Workers: 2},
-		StoreConfig{Dir: dir, Shard: 0, NumShards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := len(run0.Ran), 3; got != want {
-		t.Fatalf("shard 0 ran %d specs %v, want %d", got, run0.Ran, want)
-	}
-
-	// Shard 1 is "killed" after its first study commits: the context
-	// is cancelled from the per-study hook, so the worker stops
-	// between studies exactly as a SIGKILL between commits would.
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	run1, err := RunSweepStore(ctx,
-		SweepConfig{
-			Specs:     specs,
-			Workers:   1,
-			PostStudy: func(i int, r *Result) { cancel() },
-		},
-		StoreConfig{Dir: dir, Shard: 1, NumShards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if run1.Err == nil {
-		t.Fatal("killed shard reported no context error")
-	}
-	if got, want := len(run1.Ran), 1; got != want {
-		t.Fatalf("killed shard committed %d specs %v, want %d", got, run1.Ran, want)
+	for k, worker := range []string{"w1", "w2"} {
+		ctx, progress, cancel := stopAfterFirstCommit()
+		run, err := RunSweepStore(ctx, SweepConfig{Specs: specs, Workers: 1},
+			StoreConfig{Dir: dir, WorkerID: worker, Progress: progress})
+		cancel()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if run.Err == nil {
+			t.Fatalf("killed worker %s reported no context error", worker)
+		}
+		if len(run.Ran) != 1 || len(run.Skipped) != k {
+			t.Fatalf("killed worker %s ran %v, skipped %v; want 1 run, %d skipped", worker, run.Ran, run.Skipped, k)
+		}
 	}
 
-	// The merge must report exactly the two uncommitted specs.
+	// The merge must report exactly the four uncommitted specs.
 	merge, err := MergeSweepStore(SweepConfig{Specs: specs}, StoreConfig{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := len(merge.Missing), 2; got != want {
+	if got, want := len(merge.Missing), 4; got != want {
 		t.Fatalf("%d specs missing %v, want %d", got, merge.Missing, want)
 	}
 
-	// Resume shard 1. Completed specs must not re-execute: their
-	// outcome files' mtimes are pinned across the resume.
+	// Resume with a fresh worker. Completed specs must not re-execute:
+	// their outcome files' mtimes are pinned across the resume.
 	before := storeOutcomeMtimes(t, dir)
 	resumed, err := RunSweepStore(context.Background(),
 		SweepConfig{Specs: specs, Workers: 2},
-		StoreConfig{Dir: dir, Shard: 1, NumShards: 2})
+		StoreConfig{Dir: dir, WorkerID: "w3"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := len(resumed.Ran), 2; got != want {
+	if got, want := len(resumed.Ran), 4; got != want {
 		t.Fatalf("resume ran %d specs %v, want %d", got, resumed.Ran, want)
 	}
-	if got, want := len(resumed.Skipped), 1; got != want {
+	if got, want := len(resumed.Skipped), 2; got != want {
 		t.Fatalf("resume skipped %d specs %v, want %d", got, resumed.Skipped, want)
 	}
 	after := storeOutcomeMtimes(t, dir)
@@ -123,7 +119,7 @@ func TestSweepStoreShardResumeIdentical(t *testing.T) {
 		t.Fatalf("specs still missing after resume: %v", merge.Missing)
 	}
 	if got, want := merge.Result.Format(), single.Format(); got != want {
-		t.Fatalf("sharded+resumed merge differs from single-process RunSweep (first diff near byte %d):\n%s", firstDiff(got, want), got)
+		t.Fatalf("killed+resumed merge differs from single-process RunSweep (first diff near byte %d):\n%s", firstDiff(got, want), got)
 	}
 }
 
@@ -426,20 +422,22 @@ func TestSweepStoreSpillIdentical(t *testing.T) {
 	}
 }
 
-// TestScenarioStoreShardedIdentical: a simulation scenario lowered
-// onto the store and run as two shards reconstructs a result -- sweep
-// table and per-study cache experiments -- byte-identical to a
-// single-process RunScenario.
-func TestScenarioStoreShardedIdentical(t *testing.T) {
+// TestScenarioStoreLeaseResumeIdentical: a simulation scenario
+// lowered onto the store, killed after its first study commits and
+// resumed by a second worker, reconstructs a result -- sweep table and
+// per-study cache experiments -- byte-identical to a single-process
+// RunScenario.
+func TestScenarioStoreLeaseResumeIdentical(t *testing.T) {
 	parse := func() *scenario.Spec {
 		spec, err := scenario.Parse([]byte(`{
-			"version": 1, "name": "store-sharded",
+			"version": 1, "name": "store-resumed",
 			"seeds": [1, 2], "scales": [0.01],
 			"cache": {"fig8": {"buffers": [1, 10]}}
 		}`))
 		if err != nil {
 			t.Fatal(err)
 		}
+		spec.Workers = 1
 		return spec
 	}
 	baseline, err := RunScenario(context.Background(), parse())
@@ -448,26 +446,31 @@ func TestScenarioStoreShardedIdentical(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	for shard := 0; shard < 2; shard++ {
-		run, err := RunScenarioStore(context.Background(), parse(),
-			StoreConfig{Dir: dir, Shard: shard, NumShards: 2})
-		if err != nil {
-			t.Fatalf("shard %d: %v", shard, err)
-		}
-		if got, want := len(run.Run.Ran), 1; got != want {
-			t.Fatalf("shard %d ran %d studies, want %d", shard, got, want)
-		}
-		if shard == 0 && run.Result != nil {
-			t.Fatal("half-run scenario produced a merged result")
-		}
-		if shard == 1 {
-			if run.Result == nil {
-				t.Fatalf("complete scenario produced no merged result (missing %v)", run.Merge.Missing)
-			}
-			if got, want := run.Result.Format(), baseline.Format(); got != want {
-				t.Fatalf("sharded scenario differs from RunScenario (first diff near byte %d)", firstDiff(got, want))
-			}
-		}
+	ctx, progress, cancel := stopAfterFirstCommit()
+	defer cancel()
+	run, err := RunScenarioStore(ctx, parse(), StoreConfig{Dir: dir, WorkerID: "w1", Progress: progress})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(run.Run.Ran) != 1 || run.Run.Err == nil {
+		t.Fatalf("killed worker ran %v (err %v), want one study and a context error", run.Run.Ran, run.Run.Err)
+	}
+	if run.Result != nil {
+		t.Fatal("half-run scenario produced a merged result")
+	}
+
+	run, err = RunScenarioStore(context.Background(), parse(), StoreConfig{Dir: dir, WorkerID: "w2"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(run.Run.Ran) != 1 || len(run.Run.Skipped) != 1 {
+		t.Fatalf("resuming worker ran %v, skipped %v; want one each", run.Run.Ran, run.Run.Skipped)
+	}
+	if run.Result == nil {
+		t.Fatalf("complete scenario produced no merged result (missing %v)", run.Merge.Missing)
+	}
+	if got, want := run.Result.Format(), baseline.Format(); got != want {
+		t.Fatalf("resumed scenario differs from RunScenario (first diff near byte %d)", firstDiff(got, want))
 	}
 }
 
@@ -574,12 +577,6 @@ func TestStoreManifestPinsRun(t *testing.T) {
 	if _, err := RunSweepStore(context.Background(), SweepConfig{Specs: sweepSpecs(3)}, store); err == nil {
 		t.Fatal("store accepted a different sweep into the same directory")
 	}
-	if !HasManifest(dir) {
-		t.Fatal("HasManifest is false for a populated run directory")
-	}
-	if HasManifest(t.TempDir()) {
-		t.Fatal("HasManifest is true for an empty directory")
-	}
 }
 
 // TestStoreConfigValidation covers the store's rejected shapes.
@@ -592,16 +589,10 @@ func TestStoreConfigValidation(t *testing.T) {
 		store StoreConfig
 	}{
 		{"empty dir", SweepConfig{Specs: specs}, StoreConfig{}},
-		{"bad shard", SweepConfig{Specs: specs}, StoreConfig{Dir: t.TempDir(), Shard: 2, NumShards: 2}},
-		{"negative shard", SweepConfig{Specs: specs}, StoreConfig{Dir: t.TempDir(), Shard: -1, NumShards: 2}},
 		{"keep events", SweepConfig{Specs: specs, KeepEvents: true}, StoreConfig{Dir: t.TempDir()}},
 		{"keep reports", SweepConfig{Specs: specs, KeepReports: true}, StoreConfig{Dir: t.TempDir()}},
 		{"spill with post-study", SweepConfig{Specs: specs, PostStudy: func(int, *Result) {}},
 			StoreConfig{Dir: t.TempDir(), SpillTraces: true}},
-		{"static shard + worker id", SweepConfig{Specs: specs},
-			StoreConfig{Dir: t.TempDir(), NumShards: 2, WorkerID: "w1"}},
-		{"static shard + lease ttl", SweepConfig{Specs: specs},
-			StoreConfig{Dir: t.TempDir(), NumShards: 2, LeaseTTL: time.Second}},
 	}
 	for _, tc := range cases {
 		if _, err := RunSweepStore(ctx, tc.cfg, tc.store); err == nil {
@@ -748,6 +739,7 @@ func TestMergeScenarioStore(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		spec.Workers = 1
 		return spec
 	}
 	baseline, err := RunScenario(context.Background(), parse())
@@ -767,9 +759,12 @@ func TestMergeScenarioStore(t *testing.T) {
 		t.Fatalf("merge-only probe reported an execution: %+v", probe.Run)
 	}
 
-	// Half-commit via a static shard, then probe again.
-	if _, err := RunScenarioStore(context.Background(), parse(),
-		StoreConfig{Dir: dir, Shard: 0, NumShards: 2}); err != nil {
+	// Half-commit via a worker killed after its first study, then
+	// probe again.
+	ctx, progress, cancel := stopAfterFirstCommit()
+	defer cancel()
+	if _, err := RunScenarioStore(ctx, parse(),
+		StoreConfig{Dir: dir, WorkerID: "w1", Progress: progress}); err != nil {
 		t.Fatal(err)
 	}
 	probe, err = MergeScenarioStore(parse(), StoreConfig{Dir: dir})
@@ -781,7 +776,7 @@ func TestMergeScenarioStore(t *testing.T) {
 	}
 
 	if _, err := RunScenarioStore(context.Background(), parse(),
-		StoreConfig{Dir: dir, Shard: 1, NumShards: 2}); err != nil {
+		StoreConfig{Dir: dir, WorkerID: "w2"}); err != nil {
 		t.Fatal(err)
 	}
 	probe, err = MergeScenarioStore(parse(), StoreConfig{Dir: dir})

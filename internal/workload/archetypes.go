@@ -7,7 +7,7 @@
 // scratch and temporary files, and the one periodic status job that
 // accounted for hundreds of single-node runs -- with mixture weights
 // calibrated so that every figure and table in the paper comes out
-// with the right shape (see DESIGN.md's calibration targets).
+// with the right shape.
 package workload
 
 import (
