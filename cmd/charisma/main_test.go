@@ -206,7 +206,7 @@ func TestWorkStealingCLI(t *testing.T) {
 		t.Fatalf("stderr accounting missing the worker line: %q", stderr)
 	}
 	// A second worker joins late, finds the queue drained, and prints
-	// the identical merged report -- no -resume flag involved.
+	// the identical merged report.
 	code, out, stderr = app(append(args, "-out", dir, "-worker-id", "w2")...)
 	if code != 0 {
 		t.Fatalf("worker 2 exit %d, stderr %q", code, stderr)

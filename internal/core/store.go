@@ -52,10 +52,9 @@ const storeVersion = 1
 const storeSalt = "charisma-store-v1"
 
 // StoreConfig selects the run directory and how this process claims
-// work from it. The default mode is lease-based work stealing: every
-// worker drains one shared queue of pending specs, claiming each via
-// an atomic lease file and reclaiming leases whose holder died (see
-// lease.go).
+// work from it by lease-based work stealing: every worker drains one
+// shared queue of pending specs, claiming each via an atomic lease
+// file and reclaiming leases whose holder died (see lease.go).
 type StoreConfig struct {
 	// Dir is the run directory; it is created if absent. One directory
 	// holds one sweep (the manifest pins the spec list).
@@ -376,7 +375,7 @@ func tracePath(dir, fp string) string { return filepath.Join(dir, fp+".trc") }
 // writeFileAtomic writes data to path via a same-directory temp file
 // and rename, so a concurrently merging process never observes a
 // partial file. The temp name is unique per writer (os.CreateTemp),
-// so even two processes mistakenly running the same shard id publish
+// so even two processes mistakenly running the same spec publish
 // whole files -- last rename wins with identical deterministic
 // content -- rather than truncating each other's temp file.
 func writeFileAtomic(path string, data []byte) error {
@@ -527,26 +526,6 @@ func loadOutcome(dir, fp string) (*storedOutcome, error) {
 	return &doc, nil
 }
 
-// runStore is the executor shared by the sweep and replay paths: it
-// opens the store (manifest check plus a stale-debris sweep) and
-// drains the pending specs through the lease-based work-stealing
-// drain, persisting outcomes as they complete. exec returns the
-// finished outcome plus its auxiliary text; traceFile (pre-resolved
-// per spec) is recorded in the outcome when non-empty. costs, when
-// non-nil, ranks claim order (most expensive first); nil means spec
-// order.
-func runStore(ctx context.Context, workers int, store StoreConfig, labels, fps []string, costs []float64,
-	exec func(worker, specIdx int) (StudyOutcome, string, string, error)) (*StoreRun, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := ensureManifest(store, labels, fps); err != nil {
-		return nil, err
-	}
-	sweepStale(store)
-	return runLeaseStore(ctx, workers, store, labels, fps, costs, exec)
-}
-
 // progressTracker counts known-committed outcomes across worker
 // goroutines and fires the store's Progress callback exactly once per
 // spec transition.
@@ -572,10 +551,17 @@ func (p *progressTracker) emit(i int, state string, reclaimed bool) {
 	})
 }
 
-// runLeaseStore is the work-stealing drain: every worker goroutine
-// walks the pending specs in descending estimated cost, claims the
-// first claimable one via its lease file, executes it, commits, and
-// releases. Workers that find nothing claimable -- everything
+// runStore is the executor shared by the sweep and replay paths: it
+// opens the store (manifest check plus a stale-debris sweep) and
+// drains the pending specs by lease-based work stealing, persisting
+// outcomes as they complete. exec returns the finished outcome plus
+// its auxiliary text; traceFile (pre-resolved per spec) is recorded in
+// the outcome when non-empty. costs, when non-nil, ranks claim order
+// (most expensive first); nil means spec order.
+//
+// Every worker goroutine walks the pending specs in that order, claims
+// the first claimable one via its lease file, executes it, commits,
+// and releases. Workers that find nothing claimable -- everything
 // committed or under a live lease held elsewhere -- poll until every
 // outcome exists, reclaiming any lease whose holder stops
 // heartbeating; so the call returns only when the whole sweep is
@@ -584,8 +570,15 @@ func (p *progressTracker) emit(i int, state string, reclaimed bool) {
 // (a presumed-dead worker waking up) commits byte-identical outcomes
 // via atomic rename, so the merge guarantee never depends on the
 // lease protocol being airtight.
-func runLeaseStore(ctx context.Context, workers int, store StoreConfig, labels, fps []string, costs []float64,
+func runStore(ctx context.Context, workers int, store StoreConfig, labels, fps []string, costs []float64,
 	exec func(worker, specIdx int) (StudyOutcome, string, string, error)) (*StoreRun, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if err := ensureManifest(store, labels, fps); err != nil {
+		return nil, err
+	}
+	sweepStale(store)
 	order := costOrder(costs)
 	n := len(fps)
 	run := &StoreRun{}

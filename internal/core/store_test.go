@@ -474,8 +474,8 @@ func TestScenarioStoreLeaseResumeIdentical(t *testing.T) {
 	}
 }
 
-// TestScenarioStoreReplay: replay scenarios shard over their trace
-// files through the same store, merging byte-identical to the
+// TestScenarioStoreReplay: replay scenarios drain their trace files
+// through the same store, merging byte-identical to the
 // in-memory replay path.
 func TestScenarioStoreReplay(t *testing.T) {
 	path := filepath.Join(corpusDir, "replay-smoke.json")

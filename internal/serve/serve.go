@@ -439,7 +439,7 @@ func (s *Server) runJob(j *job) {
 		s.logf("job %s (%s): failed: %v", j.id, j.spec.Name, err)
 		j.fail(err.Error())
 	case res.Result == nil:
-		// Only a cancelled run leaves outcomes missing in lease mode.
+		// Only a cancelled run leaves outcomes missing.
 		s.logf("job %s (%s): interrupted by shutdown with %d/%d studies committed",
 			j.id, j.spec.Name, j.total-len(res.Merge.Missing), j.total)
 		j.fail("server shut down mid-job; committed studies remain cached for resubmission")
